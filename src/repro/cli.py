@@ -110,20 +110,31 @@ _SEED_HELP = (
 
 
 _ENGINE_HELP = (
-    "make-span engine: 'reference' (pure-Python oracle), 'fast' "
-    "(incremental), or 'vector' (numpy structure-of-arrays; falls back "
-    "to pure Python without numpy) — all bitwise identical (default: "
-    "$REPRO_ENGINE or the command's historical engine)"
+    "make-span engine: 'reference' (pure-Python oracle) or 'vector' "
+    "(production engine: numpy batched evaluation plus incremental "
+    "replay; pure Python without numpy) — bitwise identical (default: "
+    "$REPRO_ENGINE or the command's own default)"
 )
 
 
 def _add_engine_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=ENGINES, default=None, help=_ENGINE_HELP)
+    # Validated by the engine seam in _apply_engine (not argparse
+    # choices), so a bad name gets the one-line ``repro: error:``.
+    p.add_argument(
+        "--engine",
+        default=None,
+        metavar="{" + ",".join(ENGINES) + "}",
+        help=_ENGINE_HELP,
+    )
 
 
 def _apply_engine(args: argparse.Namespace) -> None:
     """Make ``--engine`` the session default, inherited by worker
-    processes through ``$REPRO_ENGINE``."""
+    processes through ``$REPRO_ENGINE``.
+
+    Raises:
+        ValueError: for a name outside :data:`~repro.core.engine.ENGINES`.
+    """
     engine = getattr(args, "engine", None)
     if engine is not None:
         set_default_engine(engine)

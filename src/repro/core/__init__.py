@@ -13,9 +13,12 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.bruteforce` — exhaustive ground truth;
 * :mod:`repro.core.complexity` — NP-completeness reductions (Theorem 2);
 * :mod:`repro.core.online` — noisy-estimate extensions (Section 8);
-* :mod:`repro.core.vecsim` — structure-of-arrays numpy kernel;
+* :mod:`repro.core.fastsim` — interned pure-Python incremental and
+  timeline kernels (the base class of the vector engine);
+* :mod:`repro.core.vecsim` — the ``vector`` engine: numpy batched
+  stateless evaluation over those kernels;
 * :mod:`repro.core.engine` — engine selection seam
-  (``reference`` / ``fast`` / ``vector``).
+  (``reference`` oracle / ``vector`` production engine).
 """
 
 from .astar import AStarMemoryExceeded, AStarResult, astar_schedule

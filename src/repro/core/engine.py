@@ -1,23 +1,24 @@
-"""Engine selection seam: ``engine={"reference", "fast", "vector"}``.
+"""Engine selection seam: ``engine={"reference", "vector"}``.
 
-Every measurement in this repo funnels through one of three bitwise
+Every measurement in this repo funnels through one of two bitwise
 identical make-span engines:
 
 * ``"reference"`` — the pure-Python oracle,
   :func:`repro.core.makespan.simulate` (per-call dict lookups; the
-  semantics every other engine is tested against);
-* ``"fast"`` — :class:`repro.core.fastsim.FastSimulator` (interned ids,
-  segmented replay, incremental propose/commit);
-* ``"vector"`` — :class:`repro.core.vecsim.VectorSimulator` (the
-  structure-of-arrays numpy kernel; falls back to the fast engine's
-  pure-Python path when numpy is unavailable).
+  semantics the production engine is tested against).  It runs
+  everywhere and shares no kernel code with the production engine;
+* ``"vector"`` — :class:`repro.core.vecsim.VectorSimulator`, the
+  production engine: numpy batched stateless evaluation on top of the
+  interned pure-Python incremental and timeline kernels of its base
+  class :class:`repro.core.fastsim.FastSimulator`.  Without numpy it
+  runs fully in Python.
 
 This module is the one place the mapping lives.  Callers thread an
 ``engine`` argument (``makespan.simulate``, ``localsearch``, ``iar``,
 ``faults.simulate_with_faults``, the CLI's ``--engine``); ``None``
 defers to the session default, set via :func:`set_default_engine` or
 the ``REPRO_ENGINE`` environment variable (which worker processes
-inherit), and finally to the call site's historical fallback.
+inherit), and finally to the call site's fallback.
 
 :func:`make_simulator` can also cache one engine per
 ``(engine, compile_threads, preinstalled)`` combination on the instance
@@ -32,7 +33,6 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Sequence, Tuple
 
-from .fastsim import FastSimulator
 from .makespan import (
     DueDateObjectives,
     DueDateTable,
@@ -54,7 +54,7 @@ __all__ = [
     "set_default_engine",
 ]
 
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "vector")
 
 _default_engine: Optional[str] = None
 
@@ -91,7 +91,7 @@ def resolve_engine(
     """Resolve an ``engine`` argument to a concrete engine name.
 
     ``None`` defers to :func:`get_default_engine`, then to
-    ``fallback`` (each call site keeps its historical default).
+    ``fallback`` (each call site picks its own default).
 
     Raises:
         ValueError: for a name outside :data:`ENGINES`.
@@ -105,18 +105,18 @@ def resolve_engine(
 class ReferenceSimulator:
     """The pure-Python oracle behind the engine-object interface.
 
-    Adapts :func:`repro.core.makespan.simulate` to the evaluator API the
-    fast and vector engines share (``evaluate`` / ``bind`` / ``propose``
+    Adapts :func:`repro.core.makespan.simulate` to the evaluator API of
+    the vector engine (``evaluate`` / ``bind`` / ``propose``
     / ``commit`` / ``preview`` / ``result`` / ``trace_stats``), so every
     engine-threaded code path can run against the oracle without a
     special case.  There is no incremental machinery: ``propose`` runs a
     full simulation (its ``cutoff`` is accepted but ignored — the true
     span is returned, which makes every caller's ``span <= incumbent``
-    decision identical to the early-exit engines').
+    decision identical to the early-exit engine's).
 
     ``trace_stats`` does not support ``preinstalled`` functions (the
     underlying :func:`~repro.core.makespan.iter_calls` stream has no
-    notion of them); the fast and vector engines are the tools for that.
+    notion of them); the vector engine is the tool for that.
     """
 
     def __init__(
@@ -170,6 +170,7 @@ class ReferenceSimulator:
             task_installs=task_installs,
             tracer=tracer,
             metrics=self.metrics,
+            engine="reference",
         )
 
     def due_objectives(
@@ -254,7 +255,6 @@ class ReferenceSimulator:
 
 _SIMULATORS = {
     "reference": ReferenceSimulator,
-    "fast": FastSimulator,
     "vector": VectorSimulator,
 }
 
@@ -265,7 +265,7 @@ def make_simulator(
     compile_threads: int = 1,
     preinstalled: Optional[Dict[str, int]] = None,
     metrics=None,
-    fallback: str = "fast",
+    fallback: str = "vector",
     cached: bool = False,
 ):
     """Build (or fetch) the evaluator for ``engine`` on ``instance``.

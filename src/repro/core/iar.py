@@ -80,8 +80,8 @@ class IARParams:
             ``"compile_time"`` (cheapest first).
         exact_slack: replace step 3's conservative slack test with
             batch candidate scoring: every eligible upgrade is evaluated
-            individually on the incremental
-            :class:`~repro.core.fastsim.FastSimulator` engine and kept
+            individually on the run's engine (incremental suffix
+            replay on the ``"vector"`` engine) and kept
             only when it does not lengthen the make-span.  Costs one
             suffix replay per candidate instead of one closed-form test,
             but also captures the execution-side speed-up the
@@ -234,11 +234,11 @@ def iar(
             ``exact_slack`` the ``iar.exact_slack.*`` family) record how
             the schedule was built.
         engine: make-span engine for the trace passes and verification
-            simulations — ``"fast"`` (the default), ``"vector"``, or
-            ``"reference"``; all walk identical schedules (the engines
-            are bitwise-exact twins).  ``None`` defers to the session
-            default (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"fast"``.
+            simulations — ``"vector"`` (the default) or ``"reference"``;
+            both walk identical schedules (the engines are bitwise-exact
+            twins).  ``None`` defers to the session default
+            (:func:`repro.core.engine.set_default_engine` /
+            ``$REPRO_ENGINE``), then to ``"vector"``.
     """
     from .engine import make_simulator
 
@@ -247,7 +247,7 @@ def iar(
     # One engine serves every trace pass and verification simulation in
     # this run; its per-instance arrays (interned call sequence, cost
     # rows) are built once instead of once per pass.
-    fs = make_simulator(instance, engine, fallback="fast")
+    fs = make_simulator(instance, engine)
 
     # ------------------------------------------------------------ step 1
     init_tasks: List[CompileTask] = [
@@ -378,7 +378,7 @@ def _fill_slack(
     categories: Dict[str, str],
     schedule: Schedule,
     params: IARParams,
-    fs: Optional[FastSimulator] = None,
+    fs: FastSimulator,
 ) -> Optional[Tuple[Schedule, List[str]]]:
     """Step 3: upgrade initial low compiles where slack absorbs the cost.
 
@@ -392,8 +392,6 @@ def _fill_slack(
     against the unrefined one and keeps the better.
     """
     m = len(order)
-    if fs is None:
-        fs = FastSimulator(instance)
     first_start, _b, _a, _end = fs.trace_stats(schedule)
 
     # Finish time of each initial compile (single compile thread).
@@ -496,8 +494,8 @@ def _fill_ending_gap(
     instance: OCSPInstance,
     infos: Dict[str, _FunctionInfo],
     schedule: Schedule,
-    gap_priority: str = "remaining_calls",
-    fs: Optional[FastSimulator] = None,
+    gap_priority: str,
+    fs: FastSimulator,
 ) -> Tuple[Schedule, List[str]]:
     """Step 4: append high compiles into the compile/exec ending gap.
 
@@ -509,8 +507,6 @@ def _fill_ending_gap(
     add bubbles.
     """
     compile_end = schedule.total_compile_time(instance)
-    if fs is None:
-        fs = FastSimulator(instance)
     _first, _before, calls_after, exec_end = fs.trace_stats(
         schedule, after_time=compile_end
     )

@@ -603,14 +603,12 @@ def simulate(
             body is untouched and ``metrics=None`` (the default) costs
             a single branch.
         engine: ``"reference"`` (this module's pure-Python loop, the
-            default), ``"fast"``
-            (:class:`~repro.core.fastsim.FastSimulator`), or
-            ``"vector"`` (:class:`~repro.core.vecsim.VectorSimulator`,
-            the numpy structure-of-arrays kernel).  All three are
-            bitwise identical; ``None`` defers to the session default
-            (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"reference"``.  Non-reference
-            engines are cached per instance, so tight loops pay the
+            default) or ``"vector"``
+            (:class:`~repro.core.vecsim.VectorSimulator`, the production
+            engine).  Both are bitwise identical; ``None`` defers to the
+            session default (:func:`repro.core.engine.set_default_engine`
+            / ``$REPRO_ENGINE``), then to ``"reference"``.  The vector
+            engine is cached per instance, so tight loops pay the
             per-instance interning once.
 
     Returns:

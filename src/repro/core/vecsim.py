@@ -1,18 +1,27 @@
-"""Structure-of-arrays simulation kernel (the ``"vector"`` engine).
+"""The ``"vector"`` engine: numpy stateless evaluation over the shared kernels.
 
 The paper's real call sequences span hundreds of thousands to tens of
-millions of calls (Table 1); the pure-Python replay loops dominate wall
-time long before that.  :class:`VectorSimulator` keeps the replay state
-in flat arrays — the interned call sequence as ``int64`` ids, the
-current per-function level and execution time as dense vectors — and
-evaluates the bulk call segments with numpy prefix sums instead of
-per-call Python bytecode.
+millions of calls (Table 1), and the study drivers evaluate thousands
+of schedules on each.  :class:`VectorSimulator` extends
+:class:`~repro.core.fastsim.FastSimulator` and replaces exactly one
+thing: **stateless** :meth:`~VectorSimulator.evaluate` without a
+timeline.  That path runs on flat arrays — the interned call sequence
+as integer ids, the cost tables as dense ``(function, level)``
+matrices — in a fixed number of numpy passes (:meth:`_evaluate_batched`),
+or in chunked prefix sums when the batched guess cannot be verified
+(:meth:`_replay_totals`, which also serves multi-thread runs and the
+fault layer's per-task overrides).
 
-Exactness contract (same as :class:`~repro.core.fastsim.FastSimulator`,
-which this class extends): every number is **bitwise identical** to the
-reference :func:`~repro.core.makespan.simulate`.  The vector kernel
-earns this the same way the fast engine does — by performing the
-reference's exact float operations in the exact order:
+Everything else — the incremental ``bind`` / ``propose`` / ``commit`` /
+``preview`` API, timeline evaluation, ``trace_stats`` and the due-date
+objectives — is the inherited pure-Python kernel.  Per-call numpy
+overrides of those replays measured no faster than the Python loops
+they duplicated, so there is one implementation of each.
+
+Exactness contract (the base class's): every number is **bitwise
+identical** to the reference :func:`~repro.core.makespan.simulate`.
+The numpy paths earn this by performing the reference's exact float
+operations in the exact order:
 
 * ``numpy.cumsum`` over a 1-D float64 array is a sequential
   left-associated accumulation, exactly like ``itertools.accumulate``
@@ -23,14 +32,10 @@ reference's exact float operations in the exact order:
   crossings exactly like ``bisect.bisect_left``.
 
 numpy is an *optional* dependency: when it is missing (or the
-``REPRO_NO_NUMPY`` environment variable is set), every override falls
-back to the inherited pure-Python structure-of-arrays path, so the
-``"vector"`` engine degrades gracefully instead of failing to import.
-
-Work counters are identical to the fast engine's — including
-``fastsim.span_calls_replayed``, whose value depends on the galloping
-chunk schedule of the cutoff replay; the vector override therefore
-mirrors that schedule chunk for chunk.
+``REPRO_NO_NUMPY`` environment variable is set), ``evaluate`` falls
+back to the inherited pure-Python path, so the engine runs fully in
+Python instead of failing to import.  The work counters keep their
+``fastsim.*`` names and are identical on every path.
 
 ``tests/test_vecsim_differential.py`` enforces all of this
 differentially on hypothesis-generated instances.
@@ -40,15 +45,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from .fastsim import _INF, FastSimulator, TaskSeq, _Prep
-from .makespan import (
-    DueDateObjectives,
-    DueDateTable,
-    MakespanResult,
-    validate_for_simulation,
-)
+from .fastsim import FastSimulator, TaskSeq, _Prep
+from .makespan import MakespanResult, validate_for_simulation
 from .model import OCSPInstance
 from .schedule import Schedule, ScheduleError
 
@@ -74,11 +74,11 @@ def numpy_available() -> bool:
 class VectorSimulator(FastSimulator):
     """Structure-of-arrays make-span evaluator for one instance.
 
-    A drop-in :class:`~repro.core.fastsim.FastSimulator` whose replay
-    loops run on flat numpy arrays.  The public API, the exactness
-    contract, and the ``fastsim.*`` work counters are identical; only
-    wall time differs.  Without numpy every method transparently uses
-    the inherited pure-Python path.
+    A drop-in :class:`~repro.core.fastsim.FastSimulator` whose
+    stateless, timeline-free ``evaluate`` runs on flat numpy arrays.
+    The public API, the exactness contract, and the ``fastsim.*`` work
+    counters are the base class's; every other method is inherited.
+    Without numpy ``evaluate`` is inherited too.
     """
 
     def __init__(
@@ -156,222 +156,6 @@ class VectorSimulator(FastSimulator):
             )
             self._call_groups_cache = (order, bounds)
         return self._call_groups_cache
-
-    # ------------------------------------------------------------------
-    # Full-bookkeeping replay (timelines, incremental bind/commit)
-    # ------------------------------------------------------------------
-    def _replay(
-        self, prep: _Prep, i0: int, t0: float, exec0: float, bubble0: float
-    ):
-        np = self._np
-        if np is None:
-            return super()._replay(prep, i0, t0, exec0, bubble0)
-        self._check_covered(prep)
-        calls = self._calls_fid
-        calls_np = self._calls_np
-        n = len(calls)
-        exec_rows = self._exec_rows
-        gev_fins = prep.gev_fins
-        gev_fids = prep.gev_fids
-        gev_levels = prep.gev_levels
-        num_events = len(gev_fins)
-        first_fin = prep.first_fin
-        first_pos = self._first_pos
-        num_firsts = len(first_pos)
-        bests = np.full(self._num_fids, -1, dtype=np.int64)
-        cur_exec = np.zeros(self._num_fids, dtype=np.float64)
-        empty = np.empty
-        cumsum = np.cumsum
-        searchsorted = np.searchsorted
-        starts_out = []
-        fins_out = []
-        lvls_out = []
-        cum_exec = []
-        cum_bubble = []
-        t = t0
-        total_exec = exec0
-        total_bubble = bubble0
-        i = i0
-        k = 0
-        fb = bisect_left(first_pos, i0)
-        while i < n:
-            while k < num_events and gev_fins[k] <= t:
-                fid = gev_fids[k]
-                level = gev_levels[k]
-                if level > bests[fid]:
-                    bests[fid] = level
-                    cur_exec[fid] = exec_rows[fid][level]
-                k += 1
-            if fb < num_firsts and first_pos[fb] == i:
-                # A function's first call: the only place a bubble can
-                # appear, and the only place the clock can jump forward.
-                fid = calls[i]
-                fr = first_fin[fid]
-                if t < fr:
-                    start = fr
-                    while k < num_events and gev_fins[k] <= start:
-                        g = gev_fids[k]
-                        level = gev_levels[k]
-                        if level > bests[g]:
-                            bests[g] = level
-                            cur_exec[g] = exec_rows[g][level]
-                        k += 1
-                else:
-                    start = t
-                e = float(cur_exec[fid])
-                finish = start + e
-                total_bubble += start - t
-                total_exec += e
-                starts_out.append(start)
-                fins_out.append(finish)
-                lvls_out.append(int(bests[fid]))
-                cum_exec.append(total_exec)
-                cum_bubble.append(total_bubble)
-                t = finish
-                i += 1
-                fb += 1
-                continue
-            # Bulk segment: the chained cumsum performs the reference's
-            # exact left-associated float additions (chunk boundaries
-            # restart from the exact intermediate clock, so they cannot
-            # change any value — only bound the work wasted past a
-            # compile-event crossing).
-            b = first_pos[fb] if fb < num_firsts else n
-            step = 1024 if k < num_events else b - i
-            while i < b:
-                j = b if b - i <= step else i + step
-                seg = calls_np[i:j]
-                ex = cur_exec[seg]
-                m = len(ex)
-                arr = empty(m + 1)
-                arr[0] = t
-                arr[1:] = ex
-                cumsum(arr, out=arr)
-                crossed = k < num_events and gev_fins[k] <= arr[m]
-                if crossed:
-                    p = int(searchsorted(arr, gev_fins[k], side="left"))
-                else:
-                    p = m
-                if p:
-                    starts_out.extend(arr[:p].tolist())
-                    fins_out.extend(arr[1 : p + 1].tolist())
-                    lvls_out.extend(bests[seg[:p]].tolist())
-                    ce = empty(p + 1)
-                    ce[0] = total_exec
-                    ce[1:] = ex[:p]
-                    cumsum(ce, out=ce)
-                    cum_exec.extend(ce[1:].tolist())
-                    total_exec = float(ce[p])
-                    cum_bubble.extend([total_bubble] * p)
-                    t = float(arr[p])
-                    i += p
-                if crossed:
-                    break
-                step <<= 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("fastsim.replays").inc()
-            metrics.counter("fastsim.calls_replayed").inc(n - i0)
-        return starts_out, fins_out, lvls_out, cum_exec, cum_bubble
-
-    # ------------------------------------------------------------------
-    # Make-span-only replay (local search's propose path)
-    # ------------------------------------------------------------------
-    def _replay_span_impl(
-        self, prep: _Prep, i0: int, t0: float, cutoff: float
-    ) -> Tuple[float, int]:
-        # Mirrors the inherited chunk schedule (base 128, doubling,
-        # reset per outer iteration) *exactly*: the bail-out index —
-        # and with it the ``fastsim.span_calls_replayed`` counter — is
-        # chunk-boundary-dependent, and the engines must agree on it.
-        np = self._np
-        if np is None:
-            return super()._replay_span_impl(prep, i0, t0, cutoff)
-        self._check_covered(prep)
-        calls = self._calls_fid
-        calls_np = self._calls_np
-        n = len(calls)
-        exec_rows = self._exec_rows
-        gev_fins = prep.gev_fins
-        gev_fids = prep.gev_fids
-        gev_levels = prep.gev_levels
-        num_events = len(gev_fins)
-        first_fin = prep.first_fin
-        first_pos = self._first_pos
-        num_firsts = len(first_pos)
-        bests = np.full(self._num_fids, -1, dtype=np.int64)
-        cur_exec = np.zeros(self._num_fids, dtype=np.float64)
-        empty = np.empty
-        cumsum = np.cumsum
-        searchsorted = np.searchsorted
-        t = t0
-        i = i0
-        k = 0
-        fb = bisect_left(first_pos, i0)
-        while i < n:
-            while k < num_events and gev_fins[k] <= t:
-                fid = gev_fids[k]
-                level = gev_levels[k]
-                if level > bests[fid]:
-                    bests[fid] = level
-                    cur_exec[fid] = exec_rows[fid][level]
-                k += 1
-            if fb < num_firsts and first_pos[fb] == i:
-                fid = calls[i]
-                fr = first_fin[fid]
-                if t < fr:
-                    start = fr
-                    while k < num_events and gev_fins[k] <= start:
-                        g = gev_fids[k]
-                        level = gev_levels[k]
-                        if level > bests[g]:
-                            bests[g] = level
-                            cur_exec[g] = exec_rows[g][level]
-                        k += 1
-                else:
-                    start = t
-                t = start + float(cur_exec[fid])
-                i += 1
-                fb += 1
-                if t > cutoff:
-                    return _INF, i
-                continue
-            b = first_pos[fb] if fb < num_firsts else n
-            if k >= num_events:
-                m = b - i
-                if m:
-                    arr = empty(m + 1)
-                    arr[0] = t
-                    arr[1:] = cur_exec[calls_np[i:b]]
-                    cumsum(arr, out=arr)
-                    t = float(arr[m])
-                i = b
-                if t > cutoff:
-                    return _INF, i
-                continue
-            step = 128
-            while i < b:
-                j = b if b - i <= step else i + step
-                seg = calls_np[i:j]
-                m = len(seg)
-                arr = empty(m + 1)
-                arr[0] = t
-                arr[1:] = cur_exec[seg]
-                cumsum(arr, out=arr)
-                end = arr[m]
-                if gev_fins[k] <= end:
-                    p = int(searchsorted(arr, gev_fins[k], side="left"))
-                    t = float(arr[p])
-                    i += p
-                    break
-                t = float(end)
-                i = j
-                if t > cutoff:
-                    return _INF, i
-                step <<= 1
-            if t > cutoff:
-                return _INF, i
-        return t, i
 
     # ------------------------------------------------------------------
     # Totals-only replay (the stateless evaluate fast path)
@@ -817,10 +601,10 @@ class VectorSimulator(FastSimulator):
         """Exact :func:`~repro.core.makespan.simulate` twin; see
         :meth:`FastSimulator.evaluate`.
 
-        Timeline and tracer requests take the inherited path (whose
-        :meth:`_replay` is already vectorized); plain evaluations use
-        the totals-only kernel, which skips per-call list
-        materialization entirely.
+        Timeline and tracer requests need the per-call arrays, so they
+        take the inherited pure-Python path; plain evaluations use the
+        batched or totals-only numpy kernels, which never materialize
+        per-call lists.
         """
         if self._np is None or record_timeline or tracer is not None:
             return super().evaluate(
@@ -860,60 +644,4 @@ class VectorSimulator(FastSimulator):
             total_bubble_time=total_bubble,
             total_exec_time=total_exec,
             calls_at_level=calls_at_level,
-        )
-
-    # ------------------------------------------------------------------
-    # Due-date objectives (vectorized aggregation)
-    # ------------------------------------------------------------------
-    def due_objectives(
-        self, schedule: TaskSeq, due: DueDateTable, validate: bool = False
-    ) -> DueDateObjectives:
-        """Vectorized twin of :meth:`FastSimulator.due_objectives`.
-
-        The per-call timeline comes from the (already vectorized)
-        inherited replay; the aggregation runs on flat arrays.  Bitwise
-        safety: tardiness maxima are order-independent, and the two
-        weighted sums accumulate via 1-D ``numpy.cumsum`` — a
-        sequential left-associated accumulation — over functions in
-        sorted-name order, exactly the reference aggregation order.
-        """
-        np = self._np
-        if np is None:
-            return super().due_objectives(schedule, due, validate=validate)
-        result = self.evaluate(schedule, record_timeline=True, validate=validate)
-        last_finish = {}
-        for timing in result.call_timings:
-            if timing.function in due:
-                last_finish[timing.function] = timing.finish
-        items = [
-            (fname, due_time, weight, last_finish[fname])
-            for fname, (due_time, weight) in due.items()
-            if fname in last_finish
-        ]
-        if not items:
-            return DueDateObjectives(
-                makespan=result.makespan,
-                max_tardiness=0.0,
-                total_weighted_tardiness=0.0,
-                weighted_completion=0.0,
-                num_late=0,
-                num_jobs=0,
-                completions={},
-            )
-        dues = np.array([item[1] for item in items], dtype=np.float64)
-        weights = np.array([item[2] for item in items], dtype=np.float64)
-        finishes = np.array([item[3] for item in items], dtype=np.float64)
-        tardiness = finishes - dues
-        late = tardiness > 0.0
-        clamped = np.where(late, tardiness, 0.0)
-        twt = np.cumsum(weights * clamped)[-1] if len(items) else 0.0
-        wc = np.cumsum(weights * finishes)[-1]
-        return DueDateObjectives(
-            makespan=result.makespan,
-            max_tardiness=float(clamped.max()) if len(items) else 0.0,
-            total_weighted_tardiness=float(twt),
-            weighted_completion=float(wc),
-            num_late=int(late.sum()),
-            num_jobs=len(items),
-            completions=last_finish,
         )

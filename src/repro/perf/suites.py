@@ -8,9 +8,10 @@ from ``scale`` with the same convention as the pytest benchmark suite
 baseline — results at different scales never compare.
 
 The ``quick`` suite covers every instrumented hot path: the reference
-simulator, the fast engine (full and incremental), the vector engine,
-local search, the priority-queue co-simulation, the result store,
-tracing, and the parallel experiment runner.  It is sized to finish in
+simulator, the pure-Python ``FastSimulator`` kernels (full and
+incremental), the vector engine's numpy evaluation, local search, the
+priority-queue co-simulation, the result store, tracing, and the
+parallel experiment runner.  It is sized to finish in
 seconds at the default scale so CI can gate on it.
 
 Two narrower suites serve the engine-equivalence story:
@@ -19,9 +20,9 @@ Two narrower suites serve the engine-equivalence story:
   explicitly, so running them under ``--engine vector`` or
   ``$REPRO_ENGINE`` cannot change their counters vs the committed
   baselines);
-* ``speedup`` — the reference/fast/vector evaluation benchmarks whose
-  committed baselines back the documented speedup table (the same
-  workload and schedule measured through each engine).
+* ``speedup`` — the reference, ``FastSimulator`` and vector evaluation
+  benchmarks whose committed baselines back the documented speedup
+  table (the same workload and schedule measured through each).
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def _bench_fastsim_incremental(scale: float):
 
 @register(
     "localsearch_moves",
-    description="hill-climbing local search on the fast engine",
+    description="hill-climbing local search on the default (vector) engine",
 )
 def _bench_localsearch(scale: float):
     from ..core.localsearch import improve_schedule

@@ -91,6 +91,16 @@ class TestExitCodes:
             "fault spec:",
         )
 
+    def test_unknown_engine_names_the_valid_ones(
+        self, capsys, trace_file, schedule_file
+    ):
+        assert_error_exit(
+            capsys,
+            ["evaluate", str(trace_file), str(schedule_file),
+             "--engine", "fast"],
+            "engine must be one of ('reference', 'vector'), got 'fast'",
+        )
+
     def test_success_still_zero(self, capsys, trace_file, schedule_file):
         assert main(["evaluate", str(trace_file), str(schedule_file)]) == 0
         assert capsys.readouterr().err == ""

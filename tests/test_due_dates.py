@@ -130,7 +130,7 @@ class TestEngineSeam:
             due_date_objectives(instance, schedule, due, engine=engine)
             for engine in ENGINES
         ]
-        assert objs[0] == objs[1] == objs[2]
+        assert len(objs) == 2 and objs[0] == objs[1]
 
     def test_simulator_methods_agree(self, instance, schedule):
         due = DueDateTable({"a": (3.0, 2.0), "b": (4.5, 1.5)})
@@ -178,4 +178,4 @@ class TestEngineSeam:
             )
             for e in ENGINES
         ]
-        assert objs[0] == objs[1] == objs[2]
+        assert len(objs) == 2 and objs[0] == objs[1]

@@ -1,6 +1,7 @@
 """Differential tests: FastSimulator vs the reference simulator.
 
-The fast engine promises *bitwise* equality with
+``FastSimulator`` (the pure-Python base of the ``"vector"`` engine,
+built directly here) promises *bitwise* equality with
 :func:`repro.core.makespan.simulate` — same float operations in the
 same order — for full evaluation, timeline recording, and the
 incremental propose/commit/preview path.  These tests enforce that
@@ -309,7 +310,7 @@ def test_trace_stats_matches_iar_helper():
 
 
 # ---------------------------------------------------------------------------
-# the fast engine inside local search
+# the engines inside local search
 # ---------------------------------------------------------------------------
 
 
@@ -326,7 +327,7 @@ def test_localsearch_engines_walk_identical_trajectories(temperature, threads):
         seed=9,
         temperature=temperature,
         compile_threads=threads,
-        engine="fast",
+        engine="vector",
     )
     ref_sched, ref_stats = improve_schedule(
         instance,

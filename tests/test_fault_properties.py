@@ -6,8 +6,9 @@ Three invariants the degradation machinery must hold on *any* instance:
   only add work);
 * the recorded timeline stays physically consistent (calls execute
   back-to-back, compile attempts fit their charged durations);
-* the reference and fast engines agree bitwise on degraded plans, and a
-  re-run under the same seed reproduces every number.
+* the reference engine and the ``FastSimulator`` kernels agree bitwise
+  on degraded plans, and a re-run under the same seed reproduces every
+  number.
 """
 
 from __future__ import annotations

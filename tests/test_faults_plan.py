@@ -102,7 +102,7 @@ class TestApplyToSchedule:
 class TestSimulateWithFaults:
     def test_null_bitwise_equals_clean(self, instance, schedule):
         clean = simulate(instance, schedule, record_timeline=True)
-        for engine in ("reference", "fast"):
+        for engine in ("reference", "vector"):
             result, plan = simulate_with_faults(
                 instance, schedule, "", engine=engine, record_timeline=True
             )
@@ -118,7 +118,7 @@ class TestSimulateWithFaults:
         )
         fast, fast_plan = simulate_with_faults(
             instance, schedule, spec, compile_threads=threads,
-            engine="fast", record_timeline=True,
+            engine="vector", record_timeline=True,
         )
         assert ref_plan == fast_plan
         assert fast.makespan == ref.makespan

@@ -4,7 +4,7 @@
 is fully deterministic, as are the Jikes/V8 replays and IAR.  These
 frozen numbers pin the whole pipeline — trace generation, the runtime
 schemes, the IAR heuristic, and the simulator — so any unintended
-behavioural change (e.g. to the fast engine or the cost model) fails
+behavioural change (e.g. to an engine kernel or the cost model) fails
 loudly here rather than drifting silently.
 
 If a change *intends* to alter these numbers, regenerate with::
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import iar_schedule, lower_bound, simulate
+from repro.core import FastSimulator, iar_schedule, lower_bound, simulate
 from repro.vm.jikes import run_jikes
 from repro.vm.v8 import run_v8
 from repro.workloads import dacapo
@@ -123,7 +123,11 @@ FULL_GOLDEN_SAMPLES = (229, 302)  # (jikes, v8)
 def test_full_length_iar_makespan_exact_per_engine(engine):
     instance = dacapo.load("antlr", scale=FULL_SCALE)
     schedule = iar_schedule(instance)
-    result = simulate(instance, schedule, validate=False, engine=engine)
+    if engine == "fast":
+        # The numpy-free kernels the vector engine inherits, built directly.
+        result = FastSimulator(instance).evaluate(schedule)
+    else:
+        result = simulate(instance, schedule, validate=False, engine=engine)
     assert result.makespan == FULL_GOLDEN_IAR
 
 

@@ -1,18 +1,19 @@
 """Differential battery: VectorSimulator vs FastSimulator vs reference.
 
-The vector engine promises *bitwise* equality with both other engines —
-same float operations in the same order — for full evaluation, totals,
-timelines, fault-degraded runs (``task_compile_times`` /
-``task_installs``), the incremental propose/commit path, and the work
-counters (``fastsim.*`` down to ``span_calls_replayed``, whose value
-depends on the replay chunk schedule the vector kernel mirrors
-exactly).  The battery drives random instances, costs, call sequences,
-compiler-thread counts, and fault specs through all three engines, and
-pins the zero-length and single-call edges.
+The vector engine promises *bitwise* equality with the reference
+engine and with its ``FastSimulator`` base — same float operations in
+the same order — for full evaluation, totals, timelines, fault-degraded
+runs (``task_compile_times`` / ``task_installs``), the incremental
+propose/commit path, and the work counters (``fastsim.*`` down to
+``span_calls_replayed``).  The battery drives random instances, costs,
+call sequences, compiler-thread counts, and fault specs through all
+three simulators, and pins the zero-length and single-call edges.
 
 The same tests double as the no-numpy gate: ``REPRO_NO_NUMPY=1`` makes
-``VectorSimulator`` fall back to the fast engine's pure-Python path,
-and the whole battery must still pass (CI runs it both ways).
+``VectorSimulator`` fall back to the pure-Python ``FastSimulator`` path
+it inherits, and the whole battery must still pass (CI runs it both
+ways).  ``FastSimulator`` is built directly here: it is the vector
+engine's base class, not an engine name.
 """
 
 from __future__ import annotations
@@ -31,10 +32,17 @@ from repro.core import (
     OCSPInstance,
     Schedule,
     VectorSimulator,
+    iar,
     make_simulator,
     simulate,
 )
-from repro.core.engine import ENGINES, ReferenceSimulator, resolve_engine
+from repro.core.engine import (
+    ENGINES,
+    ReferenceSimulator,
+    get_default_engine,
+    resolve_engine,
+    set_default_engine,
+)
 from repro.core.localsearch import _propose, improve_schedule
 from repro.faults import simulate_with_faults
 from repro.observability import MetricsRegistry
@@ -201,10 +209,11 @@ def test_direct_override_arrays_three_engines():
 
 
 def test_incremental_chain_and_counters_identical():
-    """fast and vector walk identical propose/commit chains AND report
-    identical work counters — including ``fastsim.span_calls_replayed``,
-    which is only equal because the vector kernel mirrors the fast
-    engine's cutoff-replay chunk schedule exactly."""
+    """FastSimulator and VectorSimulator walk identical propose/commit
+    chains AND report identical work counters — including
+    ``fastsim.span_calls_replayed``, which depends on the cutoff
+    replay's chunk schedule (so an override of the incremental kernel
+    would have to mirror it exactly)."""
     rng = random.Random(424242)
     for _ in range(40):
         instance = random_instance(rng)
@@ -263,20 +272,25 @@ def test_trace_stats_matches_fast():
 
 @pytest.mark.parametrize("temperature", [0.0, 0.05])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_localsearch_vector_walks_fast_trajectory(temperature, threads):
+def test_localsearch_vector_walks_fast_trajectory(
+    temperature, threads, monkeypatch
+):
+    """The vector engine with numpy walks the same trajectory, with the
+    same counters, as its pure-Python ``FastSimulator`` path."""
     rng = random.Random(4242 + threads)
     instance = random_instance(rng)
     schedule = random_schedule(instance, rng)
     mf, mv = MetricsRegistry(), MetricsRegistry()
-    fast_sched, fast_stats = improve_schedule(
-        instance, schedule, iterations=120, seed=9,
-        temperature=temperature, compile_threads=threads,
-        engine="fast", metrics=mf,
-    )
     vec_sched, vec_stats = improve_schedule(
         instance, schedule, iterations=120, seed=9,
         temperature=temperature, compile_threads=threads,
         engine="vector", metrics=mv,
+    )
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    fast_sched, fast_stats = improve_schedule(
+        instance, schedule, iterations=120, seed=9,
+        temperature=temperature, compile_threads=threads,
+        engine="vector", metrics=mf,
     )
     assert tuple(vec_sched) == tuple(fast_sched)
     assert vec_stats == fast_stats
@@ -295,7 +309,7 @@ def test_simulate_engine_dispatch_bitwise_equal():
         schedule = random_schedule(instance, rng)
         threads = rng.randint(1, 3)
         r = simulate(instance, schedule, compile_threads=threads)
-        for engine in ("fast", "vector"):
+        for engine in ENGINES:
             assert_results_equal(
                 simulate(
                     instance, schedule, compile_threads=threads, engine=engine
@@ -313,19 +327,34 @@ def test_simulate_engine_counters_identical():
         m = MetricsRegistry()
         simulate(instance, schedule, metrics=m, engine=engine)
         snapshots.append(counters_of(m))
-    assert snapshots[0] == snapshots[1] == snapshots[2]
+    assert len(snapshots) == 2 and snapshots[0] == snapshots[1]
 
 
-def test_unknown_engine_rejected_everywhere():
+def test_unknown_engine_rejected_everywhere(monkeypatch):
     prof = {"f0": FunctionProfile("f0", (1.0,), (1.0,))}
     inst = OCSPInstance(prof, ("f0",), name="tiny")
     sched = Schedule.of(("f0", 0))
-    with pytest.raises(ValueError, match="engine"):
-        simulate(inst, sched, engine="warp")
-    with pytest.raises(ValueError, match="engine"):
-        make_simulator(inst, "warp")
-    with pytest.raises(ValueError, match="engine"):
-        resolve_engine("warp")
+    assert ENGINES == ("reference", "vector")
+    # "fast" was an engine name once; it is rejected like any other.
+    for name in ("warp", "fast"):
+        with pytest.raises(ValueError, match="engine"):
+            simulate(inst, sched, engine=name)
+        with pytest.raises(ValueError, match="engine"):
+            make_simulator(inst, name)
+        with pytest.raises(ValueError, match="engine"):
+            resolve_engine(name)
+        with pytest.raises(ValueError, match="engine"):
+            set_default_engine(name)
+        with pytest.raises(ValueError, match="engine"):
+            improve_schedule(inst, sched, iterations=1, engine=name)
+        with pytest.raises(ValueError, match="engine"):
+            iar(inst, engine=name)
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_ENGINE", name)
+            with pytest.raises(ValueError, match="REPRO_ENGINE"):
+                get_default_engine()
+            with pytest.raises(ValueError, match="REPRO_ENGINE"):
+                make_simulator(inst)
 
 
 def test_repro_engine_env_sets_default(monkeypatch):
