@@ -195,6 +195,25 @@ def _write_trace(tracer, trace_dir: str, label: str, name: str) -> None:
     write_chrome_trace(tracer, path)
 
 
+def _faulty_spec(faults: Optional[str], trace_dir: Optional[str]):
+    """The parsed non-null fault spec of a figure driver, else ``None``.
+    Tracing is unavailable on the faulty path, so asking for both is an
+    error."""
+    if not faults:
+        return None
+    from ..faults import parse_fault_spec
+
+    spec = parse_fault_spec(faults)
+    if spec.is_null:
+        return None
+    if trace_dir is not None:
+        raise ValueError(
+            "trace_dir cannot be combined with a non-null fault spec "
+            "(tracing is unavailable on the faulty path)"
+        )
+    return spec
+
+
 def _figure_rows(
     suite: Suite,
     model_factory,
@@ -203,19 +222,16 @@ def _figure_rows(
     label: str = "figure",
     faults: Optional[str] = None,
 ) -> List[Dict[str, object]]:
-    faulty = faults is not None and faults != ""
-    if faulty:
-        from ..faults import faulty_scheme_comparison, parse_fault_spec
-
-        spec = parse_fault_spec(faults)
-        faulty = not spec.is_null
+    spec = _faulty_spec(faults, trace_dir)
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
         tracer = (
             _trace_into(trace_dir, label, name) if trace_dir is not None else None
         )
         row: Dict[str, object] = {"benchmark": name}
-        if faulty:
+        if spec is not None:
+            from ..faults import faulty_scheme_comparison
+
             comparison, summary = faulty_scheme_comparison(
                 instance,
                 spec,
@@ -252,7 +268,8 @@ def figure5(
     ``figure5-<benchmark>.trace.json`` Chrome trace files.  With a
     non-null ``faults`` spec string, every scheme runs degraded under
     that spec (see :mod:`repro.faults`) and each row gains a
-    ``"faults"`` tally; tracing is unavailable on the faulty path.
+    ``"faults"`` tally; tracing is unavailable on the faulty path, so
+    passing ``trace_dir`` too raises :class:`ValueError`.
     """
     return _figure_rows(
         suite,
@@ -314,16 +331,14 @@ def figure8(
     the lower bound is recomputed for the projected (2-level) instance,
     which is why all gaps shrink relative to Figure 5.  A non-null
     ``faults`` spec string degrades every scheme (see
-    :mod:`repro.faults`); tracing is unavailable on the faulty path.
+    :mod:`repro.faults`); tracing is unavailable on the faulty path, so
+    passing ``trace_dir`` too raises :class:`ValueError`.
     """
     low, high = levels
-    faulty = faults is not None and faults != ""
-    if faulty:
-        from ..faults import faulty_v8_comparison, parse_fault_spec
+    spec = _faulty_spec(faults, trace_dir)
+    if spec is not None:
+        from ..faults import faulty_v8_comparison
 
-        spec = parse_fault_spec(faults)
-        faulty = not spec.is_null
-    if faulty:
         rows = []
         for name, instance in suite.items():
             comparison, summary = faulty_v8_comparison(

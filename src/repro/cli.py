@@ -931,6 +931,19 @@ _STUDY_DRIVERS = {
 def _cmd_study(args: argparse.Namespace) -> int:
     _apply_engine(args)
     wanted = args.figure
+    faults = None
+    if args.faults is not None:
+        # Canonicalize up front: parse errors surface before any work,
+        # and the spec fingerprints stably in the cache.
+        from .faults import parse_fault_spec
+
+        spec = parse_fault_spec(args.faults)
+        if args.trace_dir is not None and not spec.is_null:
+            raise ValueError(
+                "study: --trace-dir cannot be combined with --faults "
+                "(tracing is unavailable on the faulty path)"
+            )
+        faults = spec.canonical()
     jobs = None if args.jobs == 0 else args.jobs
     run = None
     registry = None
@@ -961,12 +974,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
             kwargs: Dict[str, object] = {}
             if args.trace_dir is not None:
                 kwargs["trace_dir"] = args.trace_dir
-            if args.faults is not None:
-                # Canonicalize up front: parse errors surface before any
-                # work, and the spec fingerprints stably in the cache.
-                from .faults import parse_fault_spec
-
-                kwargs["faults"] = parse_fault_spec(args.faults).canonical()
+            if faults is not None:
+                kwargs["faults"] = faults
             if kwargs:
                 driver_kwargs[name] = kwargs
         from .observability import MetricsRegistry

@@ -10,13 +10,12 @@ code), and the resulting :class:`FaultyPlan` feeds the measurement
 engines through their ``task_compile_times`` / ``task_installs``
 overrides.
 
-The chain mirrors the runtime's exactly — same decision keys
-``(function, level, attempt)``, same retry-one-level-lower policy, same
-guaranteed level-0 fail-safe on a first encounter — so a fault verdict
-is identical no matter which engine asks.  The one deliberate
-difference: the spec's ``backoff`` is a *delay* and a plan has no clock
-to wait on, so the planned path ignores it (retries queue back-to-back
-on the compiler threads).
+Each task's chain comes from :meth:`repro.faults.FaultInjector.resolve`
+and is tallied by :meth:`~repro.faults.FaultInjector.record`, exactly
+as in the runtime, so a fault verdict is identical no matter which
+engine asks.  Only the clock differs: the spec's ``backoff`` is a
+*delay* and a plan has no clock to wait on, so the planned path ignores
+it (retries queue back-to-back on the compiler threads).
 """
 
 from __future__ import annotations
@@ -112,69 +111,43 @@ def apply_to_schedule(
 ) -> FaultyPlan:
     """Expand ``schedule`` into its degraded attempt chains.
 
-    Each planned task runs the same chain as the reactive runtime's
-    :meth:`~repro.vm.runtime.RuntimeSimulator.enqueue` under faults:
-    attempt the requested level; on failure retry one level lower, up
-    to ``spec.retries`` times; a chain that runs out of retries falls
-    back to the function's already-installed tier, except on a first
-    encounter, where one guaranteed level-0 compile keeps the function
-    runnable.  Decision keys are ``(function, level, attempt)``, so the
-    verdicts match the runtime's for identical requests.
+    Each planned task resolves through
+    :meth:`~repro.faults.FaultInjector.resolve`, the same chain the
+    reactive runtime runs, and its attempts are queued back to back.
+    A function is on its first encounter until one of its tasks
+    installs.
 
     The injector's tallies advance by exactly the counts recorded in
     the returned plan (one injector may serve several plans; the plan
     carries its own deltas).
     """
     injector = _as_injector(injector)
-    spec = injector.spec
     profiles = instance.profiles
     tasks: List[CompileTask] = []
     compile_times: List[float] = []
     installs: List[bool] = []
     achieved: Dict[str, int] = {}
-    before = dict(injector.tally)
-    wasted_before = injector.wasted_compile_time
+    before = injector.summary()
 
     for task in schedule:
         fname = task.function
-        prof = profiles[fname]
-        must_install = fname not in achieved
-        cur = achieved.get(fname, -1)
-        lvl = task.level
-        attempt = 1
-        while True:
-            if not must_install and lvl <= cur:
-                # Degraded below the installed tier: keep running there.
-                injector.note_fallback()
-                break
-            factor = injector.compile_time_factor(fname, lvl, attempt)
-            c = prof.compile_times[lvl]
-            if factor != 1.0:
-                c *= factor
-            guaranteed = must_install and attempt > spec.retries and lvl == 0
-            failed = not guaranteed and injector.compile_fails(
-                fname, lvl, attempt
-            )
-            tasks.append(CompileTask(fname, lvl))
-            compile_times.append(c)
-            installs.append(not failed)
-            if not failed:
-                if must_install and attempt > spec.retries:
-                    injector.note_forced_install()
-                achieved[fname] = lvl
-                break
-            injector.note_wasted(c)
-            if attempt > spec.retries and not must_install:
-                injector.note_fallback()
-                break
-            if attempt <= spec.retries:
-                injector.note_retry()
-                lvl = max(0, lvl - 1)
-            else:
-                lvl = 0  # next round is the guaranteed fail-safe
-            attempt += 1
+        chain = injector.resolve(
+            fname,
+            profiles[fname].compile_times,
+            task.level,
+            fname not in achieved,
+            achieved.get(fname, -1),
+        )
+        injector.record(chain)
+        for step in chain.attempts:
+            tasks.append(CompileTask(fname, step.level))
+            compile_times.append(step.compile_time)
+            installs.append(not step.failed)
+        if chain.outcome == "compile":
+            achieved[fname] = chain.level
 
-    delta = {key: injector.tally[key] - before[key] for key in before}
+    after = injector.summary()
+    delta = {key: after[key] - before[key] for key in before}
     return FaultyPlan(
         tasks=Schedule(tuple(tasks)),
         compile_times=tuple(compile_times),
@@ -184,7 +157,7 @@ def apply_to_schedule(
         fallbacks=delta["fallbacks"],
         forced_installs=delta["forced_installs"],
         stalls=delta["stalls"],
-        wasted_compile_time=injector.wasted_compile_time - wasted_before,
+        wasted_compile_time=delta["wasted_compile_time"],
     )
 
 

@@ -9,7 +9,14 @@ verdict for the same ``(function, level, attempt)`` no matter how many
 other questions were asked in between, and a re-run with the same seed
 reproduces every fault bit-for-bit.
 
-The injector also tallies what actually fired (failures, retries,
+The retry-one-level-lower degradation chain lives here too, and only
+here: :meth:`FaultInjector.resolve` turns one compile request into a
+:class:`Chain` of attempts and an outcome, and
+:meth:`FaultInjector.record` tallies it.  The reactive runtime, the
+planned-schedule degrader and the service's decision engine differ only
+in the clock they run a chain on.
+
+The injector tallies what actually fired (failures, retries,
 fallbacks, forced installs, stalls, dropped/duplicated ticks, wasted
 compile time) and mirrors the integer counts into an optional
 :class:`repro.observability.MetricsRegistry` under ``faults.*`` so
@@ -19,13 +26,14 @@ compile time) and mirrors the integer counts into an optional
 from __future__ import annotations
 
 import random
-from typing import Dict, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..core.model import OCSPInstance
 from ..core.online import perturb_times
 from .spec import FaultSpec, parse_fault_spec
 
-__all__ = ["FaultInjector"]
+__all__ = ["Attempt", "Chain", "FaultInjector"]
 
 _TALLY_KEYS = (
     "compile_failures",
@@ -36,6 +44,47 @@ _TALLY_KEYS = (
     "ticks_dropped",
     "ticks_duplicated",
 )
+
+
+@dataclass(frozen=True)
+class Attempt:
+    """One compile attempt of a degradation chain.
+
+    Attributes:
+        level: the level compiled at.
+        compile_time: compiler-thread time charged (the profile's time,
+            times the stall factor when ``stalled``).
+        failed: the attempt published no code.
+        stalled: the attempt ran on a stalled compiler thread.
+    """
+
+    level: int
+    compile_time: float
+    failed: bool
+    stalled: bool
+
+
+@dataclass(frozen=True)
+class Chain:
+    """How one compile request resolved under faults
+    (:meth:`FaultInjector.resolve`).
+
+    Attributes:
+        attempts: every attempt in order; only a ``"compile"`` chain's
+            last attempt succeeded.
+        outcome: ``"compile"`` (installed at ``level``), ``"kept"``
+            (degraded to at most the installed tier before trying) or
+            ``"exhausted"`` (out of retries).
+        level: the installed level for ``"compile"``, else the tier the
+            function keeps running at.
+        forced: a first-encounter install past the retry budget (the
+            level-0 fail-safe).
+    """
+
+    attempts: Tuple[Attempt, ...]
+    outcome: str
+    level: int
+    forced: bool = False
 
 
 class FaultInjector:
@@ -80,28 +129,6 @@ class FaultInjector:
         model's hotness noise), so a decision depends only on its key.
         """
         return random.Random(repr((self.spec.seed, kind) + key)).random()
-
-    def compile_fails(self, fname: str, level: int, attempt: int) -> bool:
-        """Whether compile attempt ``attempt`` of ``(fname, level)``
-        fails.  A firing decision is tallied as a ``compile_failure``."""
-        p = self.spec.compile_fail
-        if p <= 0.0:
-            return False
-        if self._draw("compile_fail", fname, level, attempt) < p:
-            self._count("compile_failures")
-            return True
-        return False
-
-    def compile_time_factor(self, fname: str, level: int, attempt: int) -> float:
-        """Compile-time multiplier of the attempt: ``stall_factor``
-        when the thread stalls, else exactly ``1.0`` (so unstalled
-        faulty runs charge bitwise-identical compile times)."""
-        if self.spec.stall <= 0.0:
-            return 1.0
-        if self._draw("stall", fname, level, attempt) < self.spec.stall:
-            self._count("stalls")
-            return self.spec.stall_factor
-        return 1.0
 
     def drop_tick(self, tick: int) -> bool:
         """Whether sampler tick ``tick`` is lost."""
@@ -154,49 +181,83 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
-    # Bookkeeping the engines report explicitly
+    # The degradation chain
     # ------------------------------------------------------------------
-    def note_retry(self) -> None:
-        """A failed request is being retried at a lower level."""
-        self._count("retries")
+    def resolve(
+        self,
+        fname: str,
+        compile_times: Sequence[float],
+        level: int,
+        must_install: bool,
+        achieved: int,
+    ) -> Chain:
+        """The degradation chain of one compile request (pure).
 
-    def note_fallback(self) -> None:
-        """A request was abandoned; the function stays at its current
-        (or baseline) tier."""
-        self._count("fallbacks")
+        Attempt ``level``; on failure retry one level lower, up to
+        ``spec.retries`` retries.  A chain that runs out of retries, or
+        degrades to at most the ``achieved`` (installed or pending)
+        tier, keeps running there.  On a first encounter
+        (``must_install``) it instead takes one guaranteed level-0
+        compile, the fail-safe tier a production JIT's baseline
+        compiler provides, so every called function keeps an installed
+        version.  Every draw is keyed by ``(function, level, attempt)``.
 
-    def note_forced_install(self) -> None:
-        """A first-encounter chain exhausted its retries and fell back
-        to the guaranteed baseline (level-0) compile."""
-        self._count("forced_installs")
+        Nothing is tallied here; pass the chain to :meth:`record`.
+        """
+        spec = self.spec
+        attempts: List[Attempt] = []
+        lvl = level
+        while True:
+            attempt = len(attempts) + 1
+            if not must_install and lvl <= achieved:
+                return Chain(tuple(attempts), "kept", achieved)
+            key = (fname, lvl, attempt)
+            stalled = spec.stall > 0.0 and self._draw("stall", *key) < spec.stall
+            c = compile_times[lvl]
+            if stalled:
+                c *= spec.stall_factor
+            past_budget = attempt > spec.retries
+            # The guaranteed fail-safe: a first-encounter chain past its
+            # retry budget compiles at level 0 and cannot fail.
+            failed = (
+                not (must_install and past_budget and lvl == 0)
+                and spec.compile_fail > 0.0
+                and self._draw("compile_fail", *key) < spec.compile_fail
+            )
+            attempts.append(Attempt(lvl, c, failed, stalled))
+            if not failed:
+                forced = must_install and past_budget
+                return Chain(tuple(attempts), "compile", lvl, forced)
+            if not past_budget:
+                lvl = max(0, lvl - 1)
+            elif must_install:
+                lvl = 0  # next round is the guaranteed fail-safe
+            else:
+                return Chain(tuple(attempts), "exhausted", achieved)
 
-    def note_wasted(self, compile_time: float) -> None:
-        """Compiler-thread time burned by a failed attempt."""
-        self.wasted_compile_time += compile_time
+    def record(self, chain: Chain) -> None:
+        """Tally what ``chain`` did: failures, stalls, retries, the
+        fallback or forced install that ended it, and the compiler time
+        its failed attempts burned (added in attempt order, so a
+        recorded chain sums bitwise like the chain as it ran)."""
+        retries = self.spec.retries
+        for attempt, step in enumerate(chain.attempts, 1):
+            if step.stalled:
+                self._count("stalls")
+            if step.failed:
+                self._count("compile_failures")
+                self.wasted_compile_time += step.compile_time
+                if attempt <= retries:
+                    self._count("retries")
+        if chain.outcome != "compile":
+            self._count("fallbacks")
+        elif chain.forced:
+            self._count("forced_installs")
 
     def _count(self, key: str) -> None:
         self.tally[key] += 1
         if self.metrics is not None:
             self.metrics.counter(f"faults.{key}").inc()
-
-    def replay_tally(self, delta: Dict[str, int], wasted: float = 0.0) -> None:
-        """Re-apply a recorded tally delta (and wasted compile time).
-
-        The service's decision cache memoizes a degradation chain's
-        *outcome* together with the tallies the chain produced; serving
-        a hit replays them here so fault summaries and ``faults.*``
-        metrics are bitwise identical whether the chain ran or the
-        cache answered.
-        """
-        for key, amount in delta.items():
-            if key not in self.tally:
-                raise KeyError(f"unknown fault tally {key!r}")
-            if amount:
-                self.tally[key] += amount
-                if self.metrics is not None:
-                    self.metrics.counter(f"faults.{key}").inc(amount)
-        if wasted:
-            self.wasted_compile_time += wasted
 
     def summary(self) -> Dict[str, object]:
         """Plain-data tally: the integer counts plus wasted compile

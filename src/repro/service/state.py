@@ -10,28 +10,26 @@ seed, never on batch boundaries, socket interleaving, or wall time.
 
 The pieces:
 
-* :func:`promotion_level` — the count-based promotion test, the same
-  Jikes RVM cost/benefit inequality as
-  :meth:`repro.vm.costbenefit.CostBenefitModel.recompilation_level`
-  (``recompile at m iff e_m*k + c_m < e_l*k``), applied to the calls a
-  function has already received as the predictor of its future;
+* :func:`~repro.vm.costbenefit.promotion_level` — the count-based
+  promotion test, the one Jikes RVM cost/benefit inequality the runtime
+  model uses too (``recompile at m iff e_m*k + c_m < e_l*k``), applied
+  to the calls a function has already received as the predictor of its
+  future;
 * :class:`TenantState` — one tenant's hotness shard: per-function call
   counts and installed levels with LRU eviction of cold functions;
 * :class:`DecisionEngine` — sharded tenant map, the shared cross-tenant
   decision cache, fault-injected degradation, and ``service.*``
   metrics/trace instrumentation;
-* :class:`DecisionCache` — memoized decision outcomes keyed by a
-  content fingerprint of *everything* a decision depends on.  A hit
-  replays the chain's fault tallies into the injector, so summaries are
+* :class:`DecisionCache` — memoized degradation chains keyed by a
+  content fingerprint of *everything* a decision depends on.  Hit or
+  miss, the chain is tallied by the same
+  :meth:`repro.faults.FaultInjector.record` call, so summaries are
   bitwise identical whether or not the cache served.
 
-The degradation chain deliberately mirrors
-:meth:`repro.vm.runtime.RuntimeSimulator._enqueue_faulty` — same
-``(function, level, attempt)`` decision keys, same retry-one-level-
-lower policy, same guaranteed level-0 fail-safe on a first encounter,
-same ``note_*`` tallies — so a fault verdict is identical no matter
-which path asks, and a null spec is normalized to "no injector at all"
-exactly like the runtime does (zero-rate runs are bitwise equal to
+The degradation chain itself is :meth:`repro.faults.FaultInjector.resolve`,
+the one the reactive runtime runs, so a fault verdict is identical no
+matter which path asks.  A null spec is normalized to "no injector at
+all" exactly like the runtime does (zero-rate runs are bitwise equal to
 fault-free runs).
 """
 
@@ -43,9 +41,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.model import FunctionProfile
-from ..faults.injector import FaultInjector
+from ..faults.injector import Attempt, Chain, FaultInjector
 from ..faults.spec import FaultSpec
 from ..store.fingerprint import canonical_encode
+from ..vm.costbenefit import promotion_level
 
 __all__ = [
     "ServicePolicy",
@@ -77,34 +76,6 @@ class ServicePolicy:
 
     def knobs(self) -> Tuple[float, int, int]:
         return (self.optimism, self.max_functions, self.max_tenants)
-
-
-def promotion_level(
-    profile: FunctionProfile, current_level: int, future_calls: float
-) -> Optional[int]:
-    """Jikes RVM's recompilation test against a raw profile.
-
-    The same inequality as
-    :meth:`repro.vm.costbenefit.CostBenefitModel.recompilation_level`
-    (recompile at the minimal-cost level ``m`` above ``l`` iff
-    ``e_m * k + c_m < e_l * k``); reimplemented over a bare
-    :class:`FunctionProfile` because service tenants stream profiles
-    one at a time and never hold a whole :class:`OCSPInstance`.
-    """
-    levels = profile.num_levels
-    if current_level >= levels - 1:
-        return None
-    best_level: Optional[int] = None
-    best_cost = float("inf")
-    for j in range(current_level + 1, levels):
-        cost = profile.exec_times[j] * future_calls + profile.compile_times[j]
-        if cost < best_cost:
-            best_cost = cost
-            best_level = j
-    stay_cost = profile.exec_times[current_level] * future_calls
-    if best_level is not None and best_cost < stay_cost:
-        return best_level
-    return None
 
 
 class FunctionState:
@@ -159,21 +130,21 @@ class DecisionCache:
     The key fingerprints everything a decision depends on — profile
     content, function name (fault draws are keyed by it), call count,
     installed level, policy knobs, and the canonical fault spec — so a
-    hit is exact, not heuristic.  The value carries the decision record
-    *and* the chain's fault-tally delta; serving from cache replays the
-    delta into the injector, keeping fault summaries bitwise identical
-    with and without the cache.
+    hit is exact, not heuristic.  The value is the decision's
+    :class:`~repro.faults.injector.Chain`; a hit records it into the
+    injector just as a miss does, keeping fault summaries bitwise
+    identical with and without the cache.
     """
 
     __slots__ = ("max_entries", "entries", "hits", "misses")
 
     def __init__(self, max_entries: int = 65536) -> None:
         self.max_entries = max_entries
-        self.entries: "OrderedDict[str, Tuple]" = OrderedDict()
+        self.entries: "OrderedDict[str, Chain]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: str):
+    def get(self, key: str) -> Optional[Chain]:
         value = self.entries.get(key)
         if value is None:
             self.misses += 1
@@ -182,7 +153,7 @@ class DecisionCache:
         self.hits += 1
         return value
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, value: Chain) -> None:
         self.entries[key] = value
         self.entries.move_to_end(key)
         while len(self.entries) > self.max_entries:
@@ -397,28 +368,28 @@ class DecisionEngine:
         if target is None:
             return "none", fstate.installed, 0
 
+        chain = None
         if self.cache is not None:
             key = self._cache_key(fname, fstate, target)
-            hit = self.cache.get(key)
+            chain = self.cache.get(key)
             self._count(
-                "service.cache.hits" if hit is not None else
+                "service.cache.hits" if chain is not None else
                 "service.cache.misses"
             )
             if self.telemetry is not None:
                 self.telemetry.note_cache(
-                    state.tenant, state.shard, hit is not None
+                    state.tenant, state.shard, chain is not None
                 )
-            if hit is not None:
-                action, level, attempts, delta, wasted = hit
-                if self.faults is not None:
-                    self.faults.replay_tally(delta, wasted)
-                return action, level, attempts
-        outcome = self._degrade(fname, profile, target, must_install,
-                                fstate.installed)
-        if self.cache is not None:
-            self.cache.put(key, outcome)
-        action, level, attempts, _, _ = outcome
-        return action, level, attempts
+        if chain is None:
+            chain = self._chain(
+                fname, profile, target, must_install, fstate.installed
+            )
+            if self.cache is not None:
+                self.cache.put(key, chain)
+        if self.faults is not None:
+            self.faults.record(chain)
+        action = "compile" if chain.outcome == "compile" else "fallback"
+        return action, chain.level, len(chain.attempts)
 
     def _cache_key(
         self, fname: str, fstate: FunctionState, target: int
@@ -439,82 +410,36 @@ class DecisionEngine:
         )
         return hashlib.sha256(payload).hexdigest()
 
-    def _degrade(
+    def _chain(
         self,
         fname: str,
         profile: FunctionProfile,
         level: int,
         must_install: bool,
         achieved: int,
-    ) -> Tuple[str, int, int, Dict[str, int], float]:
-        """The degradation chain of one compile decision.
-
-        Mirrors :meth:`RuntimeSimulator._enqueue_faulty` minus the
-        clock: same ``(function, level, attempt)`` fault keys, same
-        retry-one-level-lower policy, same guaranteed level-0 fail-safe
-        on a first encounter, same tallies.  Returns the resolved
-        ``(action, level, attempts, tally-delta, wasted-delta)``; the
-        deltas are a before/after diff of the injector's tally so a
-        cache hit can replay *exactly* what the chain counted —
-        including the failures and stalls the injector tallies
-        internally.
-        """
+    ) -> Chain:
+        """Resolve one compile decision's degradation chain
+        (:meth:`repro.faults.FaultInjector.resolve`) and trace its
+        fault events; without faults, one clean attempt."""
         faults = self.faults
         if faults is None:
-            return "compile", level, 1, {}, 0.0
-        spec = faults.spec
-        before = dict(faults.tally)
-        wasted_before = faults.wasted_compile_time
-
-        def close(action: str, out_level: int, attempts: int):
-            delta = {
-                key: faults.tally[key] - before[key]
-                for key in faults.tally
-                if faults.tally[key] != before[key]
-            }
-            wasted = faults.wasted_compile_time - wasted_before
-            return action, out_level, attempts, delta, wasted
-
-        lvl = level
-        attempt = 1
-        while True:
-            if not must_install and lvl <= achieved:
-                # Degraded below what is already installed: keep
-                # running at the current tier.
-                faults.note_fallback()
+            attempt = Attempt(level, profile.compile_times[level], False, False)
+            return Chain((attempt,), "compile", level)
+        chain = faults.resolve(
+            fname, profile.compile_times, level, must_install, achieved
+        )
+        for attempt, step in enumerate(chain.attempts, 1):
+            if step.failed:
                 self._instant(
-                    f"fallback {fname}", self.events,
-                    function=fname, kept_level=achieved,
+                    f"compile-fail {fname} L{step.level}", self.events,
+                    function=fname, level=step.level, attempt=attempt,
                 )
-                return close("fallback", achieved, attempt - 1)
-            c = profile.compile_times[lvl]
-            factor = faults.compile_time_factor(fname, lvl, attempt)
-            if factor != 1.0:
-                c *= factor
-            guaranteed = (
-                must_install and attempt > spec.retries and lvl == 0
-            )
-            failed = not guaranteed and faults.compile_fails(
-                fname, lvl, attempt
-            )
-            if not failed:
-                if must_install and attempt > spec.retries:
-                    faults.note_forced_install()
-                return close("compile", lvl, attempt)
-            faults.note_wasted(c)
+        if chain.outcome == "kept":
             self._instant(
-                f"compile-fail {fname} L{lvl}", self.events,
-                function=fname, level=lvl, attempt=attempt,
+                f"fallback {fname}", self.events,
+                function=fname, kept_level=achieved,
             )
-            if attempt > spec.retries and not must_install:
-                faults.note_fallback()
-                return close("fallback", achieved, attempt)
-            if attempt <= spec.retries:
-                faults.note_retry()
-                lvl = max(0, lvl - 1)
-            else:
-                lvl = 0  # next round is the guaranteed fail-safe
-            attempt += 1
+        return chain
 
     # ------------------------------------------------------------------
     # Introspection

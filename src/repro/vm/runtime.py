@@ -14,6 +14,11 @@ provided); the simulator handles timing: queue waits, compiler-thread
 occupancy, execution bubbles, and which compiled version each call
 runs.  Enqueue times are monotone (they follow execution), so FIFO
 dispatch can be resolved greedily with no global event queue.
+
+Under fault injection the degradation chain of each request comes from
+:meth:`repro.faults.FaultInjector.resolve` and is tallied by
+:meth:`~repro.faults.FaultInjector.record`; the simulator only supplies
+the clock (thread release times and retry backoff).
 """
 
 from __future__ import annotations
@@ -115,12 +120,12 @@ class RuntimeSimulator:
         sample_period: sampler tick interval; ``None`` derives one via
             :func:`default_sample_period`.  Ticks that land while the
             execution thread is stalled observe nothing.
-        faults: optional :class:`repro.faults.FaultInjector`.  Failed
-            compiles retry one level lower (with the spec's bounded
-            backoff) and fall back to the function's current tier when
-            out of retries; a first-encounter chain that exhausts its
-            retries takes a guaranteed baseline (level-0) compile so
-            execution never deadlocks.  Sampler ticks may be dropped or
+        faults: optional :class:`repro.faults.FaultInjector`.  Each
+            request runs the degradation chain of
+            :meth:`~repro.faults.FaultInjector.resolve` (retry one level
+            lower, fall back to the current tier, guaranteed level-0
+            compile on a first encounter), with the spec's doubling
+            backoff between attempts.  Sampler ticks may be dropped or
             duplicated.  A null injector (every rate zero) is
             normalized to ``None``, keeping zero-fault-rate runs
             bitwise equal to fault-free ones.
@@ -208,23 +213,23 @@ class RuntimeSimulator:
             )
 
     def _enqueue_faulty(self, fname: str, level: int, time: float, prof) -> None:
-        """The degradation chain of one request under fault injection.
+        """One request under fault injection: run the chain
+        :meth:`repro.faults.FaultInjector.resolve` picked on the
+        compiler threads.
 
-        Attempt the requested level; on failure retry one level lower
-        after the spec's (doubling) backoff, up to ``retries`` retries.
-        Failed attempts still occupy their compiler thread — that is
-        the cost being modelled.  A chain that runs out of retries
-        falls back to the function's current tier (no install); on a
-        *first encounter* (nothing installed yet) it instead takes one
-        guaranteed baseline compile at level 0 — the fail-safe tier a
-        production JIT's interpreter/baseline compiler provides — so
-        every called function keeps at least one installed version.
+        Failed attempts still occupy their thread (that is the cost
+        being modelled), and each retry is released after the spec's
+        doubling backoff.  Only the successful attempt, if any, installs
+        code.
         """
         faults = self.faults
-        spec = faults.spec
         events = self._finish_events.get(fname)
-        must_install = events is None
         achieved = max(lvl for _, lvl in events) if events else -1
+        chain = faults.resolve(
+            fname, prof.compile_times, level, events is None, achieved
+        )
+        faults.record(chain)
+        backoff = faults.spec.backoff
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(
@@ -234,35 +239,13 @@ class RuntimeSimulator:
                 category="enqueue",
                 args={"function": fname, "level": level},
             )
-        lvl = level
         release = time
-        attempt = 1
-        while True:
-            if not must_install and lvl <= achieved:
-                # Degraded below what is already installed (or pending):
-                # keep running at the current tier.
-                faults.note_fallback()
-                if tracer is not None:
-                    tracer.instant(
-                        f"fallback {fname}",
-                        "queue",
-                        release,
-                        category="fault",
-                        args={"function": fname, "kept_level": achieved},
-                    )
-                return
+        for attempt, step in enumerate(chain.attempts, 1):
+            lvl = step.level
             start_free, tid = heapq.heappop(self._thread_free)
             start = start_free if start_free > release else release
-            factor = faults.compile_time_factor(fname, lvl, attempt)
-            c = prof.compile_times[lvl]
-            if factor != 1.0:
-                c *= factor
-            finish = start + c
+            finish = start + step.compile_time
             heapq.heappush(self._thread_free, (finish, tid))
-            # The guaranteed fail-safe: a first-encounter chain past its
-            # retry budget compiles at level 0 and cannot fail.
-            guaranteed = must_install and attempt > spec.retries and lvl == 0
-            failed = not guaranteed and faults.compile_fails(fname, lvl, attempt)
             if tracer is not None:
                 tracer.span(
                     f"compile {fname} L{lvl}",
@@ -275,17 +258,14 @@ class RuntimeSimulator:
                         "level": lvl,
                         "queue_wait": start - release,
                         "attempt": attempt,
-                        "status": "failed" if failed else "ok",
+                        "status": "failed" if step.failed else "ok",
                     },
                 )
-            if not failed:
-                if must_install and attempt > spec.retries:
-                    faults.note_forced_install()
+            if not step.failed:
                 self._tasks.append(CompileTask(fname, lvl))
                 self._enqueue_times.append(time)
                 self._finish_events.setdefault(fname, []).append((finish, lvl))
                 return
-            faults.note_wasted(c)
             if tracer is not None:
                 tracer.instant(
                     f"compile-fail {fname} L{lvl}",
@@ -294,19 +274,17 @@ class RuntimeSimulator:
                     category="fault",
                     args={"function": fname, "level": lvl, "attempt": attempt},
                 )
-            if attempt > spec.retries and not must_install:
-                faults.note_fallback()
-                return
-            if attempt <= spec.retries:
-                faults.note_retry()
-                lvl = max(0, lvl - 1)
-            else:
-                lvl = 0  # next round is the guaranteed fail-safe
-            if spec.backoff > 0.0:
-                release = finish + spec.backoff * (2 ** (attempt - 1))
-            else:
-                release = finish
-            attempt += 1
+            release = finish + backoff * (2 ** (attempt - 1))
+        if tracer is not None and chain.outcome == "kept":
+            # Degraded below what is already installed (or pending):
+            # keep running at the current tier.
+            tracer.instant(
+                f"fallback {fname}",
+                "queue",
+                release,
+                category="fault",
+                args={"function": fname, "kept_level": achieved},
+            )
 
     def requested_level(self, fname: str) -> int:
         """Highest level requested so far for ``fname`` (-1 if none)."""

@@ -109,6 +109,13 @@ class TestDrivers:
         assert row["lower_bound"] == 1.0
         assert row["iar"] >= 1.0
 
+    @pytest.mark.parametrize("driver", [figure5, figure6, figure8])
+    def test_trace_dir_with_faults_is_rejected(self, driver, tiny_suite, tmp_path):
+        with pytest.raises(ValueError, match="tracing is unavailable"):
+            driver(tiny_suite, trace_dir=str(tmp_path),
+                   faults="compile_fail=0.3,seed=1")
+        assert not list(tmp_path.iterdir())  # no empty trace files
+
     def test_figure5_and_6(self, tiny_suite):
         for driver in (figure5, figure6):
             rows = driver(tiny_suite)

@@ -91,6 +91,17 @@ class TestExitCodes:
             "fault spec:",
         )
 
+    def test_trace_dir_with_faults_on_study(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        assert_error_exit(
+            capsys,
+            ["study", "--figure", "fig5", "--scale", "0.002",
+             "--trace-dir", str(traces),
+             "--faults", "compile_fail=0.3,seed=1"],
+            "--trace-dir",
+        )
+        assert not traces.exists()  # rejected before any work
+
     def test_unknown_engine_names_the_valid_ones(
         self, capsys, trace_file, schedule_file
     ):

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import FunctionProfile, OCSPInstance
 from repro.faults import FaultInjector, FaultSpec
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, Tracer
 from repro.vm.costbenefit import EstimatedModel
 from repro.vm.jikes import run_jikes
+from repro.vm.runtime import RuntimeScheme, RuntimeSimulator
 from repro.vm.v8 import run_v8
 from repro.workloads import WorkloadSpec, generate
 
@@ -171,3 +173,92 @@ class TestMetricsMirror:
         for key, count in injector.tally.items():
             if count:
                 assert metrics.counter(f"faults.{key}").value == count
+
+
+class TopAtSecondCall(RuntimeScheme):
+    """Baseline at the first call, the top level at the second."""
+
+    def initial_level(self, fname):
+        return 0
+
+    def on_call_start(self, runtime, fname, invocation, time):
+        if invocation == 2:
+            top = runtime.instance.profiles[fname].num_levels - 1
+            runtime.enqueue(fname, top, time)
+
+
+# (name, track, start, finish, attempt, status, queue_wait) per compile
+# span and (name, track, timestamp) per fault instant, in trace order.
+# The run covers a stalled attempt, retries released after a doubling
+# backoff, a forced level-0 install (f2), a chain degraded down to the
+# installed tier (f2's fallback) and one out of retries (f3).
+PINNED_FAULTY_TRACE = [
+    ('compile f0 L0', 'compiler-0', 0.0, 1.0, 1, 'ok', 0.0),
+    ('compile f1 L0', 'compiler-1', 9.0, 11.0, 1, 'failed', 0.0),
+    ('compile-fail f1 L0', 'compiler-1', 11.0),
+    ('compile f1 L0', 'compiler-0', 12.5, 14.5, 2, 'ok', 0.0),
+    ('compile f2 L0', 'compiler-1', 24.5, 27.5, 1, 'failed', 0.0),
+    ('compile-fail f2 L0', 'compiler-1', 27.5),
+    ('compile f2 L0', 'compiler-0', 29.0, 32.0, 2, 'failed', 0.0),
+    ('compile-fail f2 L0', 'compiler-0', 32.0),
+    ('compile f2 L0', 'compiler-1', 35.0, 38.0, 3, 'ok', 0.0),
+    ('compile f3 L0', 'compiler-0', 46.0, 54.0, 1, 'ok', 0.0),
+    ('compile f0 L2', 'compiler-1', 64.0, 104.0, 1, 'ok', 0.0),
+    ('compile f1 L3', 'compiler-0', 72.0, 102.0, 1, 'failed', 0.0),
+    ('compile-fail f1 L3', 'compiler-0', 102.0),
+    ('compile f1 L2', 'compiler-0', 103.5, 133.5, 2, 'ok', 0.0),
+    ('compile f2 L2', 'compiler-1', 104.0, 144.0, 1, 'failed', 22.0),
+    ('compile-fail f2 L2', 'compiler-1', 144.0),
+    ('compile f2 L1', 'compiler-0', 145.5, 151.5, 2, 'failed', 0.0),
+    ('compile-fail f2 L1', 'compiler-0', 151.5),
+    ('fallback f2', 'queue', 154.5),
+    ('compile f3 L3', 'compiler-1', 144.0, 174.0, 1, 'failed', 54.0),
+    ('compile-fail f3 L3', 'compiler-1', 174.0),
+    ('compile f3 L2', 'compiler-0', 175.5, 190.5, 2, 'failed', 0.0),
+    ('compile-fail f3 L2', 'compiler-0', 190.5),
+    ('compile f3 L1', 'compiler-1', 193.5, 209.5, 3, 'failed', 0.0),
+    ('compile-fail f3 L1', 'compiler-1', 209.5),
+]
+
+
+class TestFaultyTrace:
+    def test_compile_spans_and_fault_instants_are_pinned(self):
+        profiles = {}
+        for i in range(4):
+            if i % 2:
+                times = ((1.0 + i, 8.0, 15.0, 30.0), (10.0, 6.0, 3.0, 2.0))
+            else:
+                times = ((1.0 + i, 6.0, 20.0), (8.0, 4.0, 2.0))
+            profiles[f"f{i}"] = FunctionProfile(f"f{i}", *times)
+        calls = tuple(f"f{i % 4}" for i in range(8))
+        instance = OCSPInstance(profiles, calls, name="pin")
+        spec = (
+            "compile_fail=0.5,stall=0.3,stall_factor=2.0,retries=2,"
+            "backoff=1.5,seed=10"
+        )
+        tracer = Tracer()
+        result = RuntimeSimulator(
+            instance, TopAtSecondCall(), compile_threads=2, tracer=tracer,
+            faults=FaultInjector(spec),
+        ).run()
+        seen = []
+        for event in tracer.events:
+            if event.category == "compile":
+                args = event.args
+                seen.append(
+                    (event.name, event.track, event.start, event.end,
+                     args["attempt"], args["status"], args["queue_wait"])
+                )
+            elif event.category == "fault":
+                seen.append((event.name, event.track, event.start))
+        assert seen == PINNED_FAULTY_TRACE
+        assert result.fault_summary == {
+            "compile_failures": 9,
+            "retries": 8,
+            "fallbacks": 2,
+            "forced_installs": 1,
+            "stalls": 5,
+            "ticks_dropped": 0,
+            "ticks_duplicated": 0,
+            "wasted_compile_time": 145.0,
+        }

@@ -1,8 +1,7 @@
-"""The decision engine: policy, tenancy, cache, and fault parity.
+"""The decision engine: policy, tenancy, cache, and fault summaries.
 
-The service's promotion test must agree with the Jikes cost/benefit
-model, its degradation chain must agree with the reactive runtime's
-(same ``(function, level, attempt)`` fault keys, same tallies), a
+The service decides through the runtime's own promotion test and fault
+chain (``vm.costbenefit.promotion_level``, ``FaultInjector.resolve``), a
 zero-rate fault spec must be bitwise indistinguishable from no spec at
 all, and the shared decision cache must never change a decision *or* a
 fault summary.
@@ -14,8 +13,9 @@ import json
 
 import pytest
 
-from repro.core import FunctionProfile, OCSPInstance
-from repro.faults.injector import FaultInjector
+import random
+
+from repro.core import FunctionProfile
 from repro.observability import MetricsRegistry
 from repro.service import (
     DecisionCache,
@@ -23,7 +23,7 @@ from repro.service import (
     ServicePolicy,
     promotion_level,
 )
-from repro.vm.costbenefit import OracleModel
+from repro.vm import costbenefit
 
 PROFILES = {
     "hot": FunctionProfile("hot", (1.0, 5.0, 20.0), (10.0, 3.0, 1.0)),
@@ -59,21 +59,11 @@ def _drain(engine, events):
 
 
 # ---------------------------------------------------------------------------
-# promotion_level ≡ CostBenefitModel.recompilation_level
+# promotion_level: the runtime's cost/benefit test, imported
 # ---------------------------------------------------------------------------
 class TestPromotionLevel:
-    def test_matches_oracle_model_on_a_grid(self):
-        instance = OCSPInstance(PROFILES, tuple(PROFILES) * 4, name="grid")
-        model = OracleModel(
-            instance, hotness_optimism=1.0, hotness_sigma=0.0,
-            hotness_floor=0.0,
-        )
-        for fname, profile in PROFILES.items():
-            for current in range(profile.num_levels):
-                for k in (0.0, 0.5, 1.0, 3.0, 10.0, 1e4):
-                    assert promotion_level(profile, current, k) == (
-                        model.recompilation_level(fname, current, k)
-                    ), (fname, current, k)
+    def test_is_the_cost_benefit_models_test(self):
+        assert promotion_level is costbenefit.promotion_level
 
     def test_top_level_never_promotes(self):
         assert promotion_level(PROFILES["hot"], 2, 1e9) is None
@@ -192,76 +182,6 @@ class TestServiceFaultPath:
 
 
 # ---------------------------------------------------------------------------
-# Degradation-chain parity with RuntimeSimulator._enqueue_faulty
-# ---------------------------------------------------------------------------
-def _reference_chain(injector, profile, fname, level, must_install, achieved):
-    """A transcription of the runtime's chain (vm/runtime.py), minus
-    the clock: the service's verdicts must match it draw for draw."""
-    spec = injector.spec
-    lvl, attempt = level, 1
-    while True:
-        if not must_install and lvl <= achieved:
-            injector.note_fallback()
-            return "fallback", achieved, attempt - 1
-        c = profile.compile_times[lvl]
-        factor = injector.compile_time_factor(fname, lvl, attempt)
-        if factor != 1.0:
-            c *= factor
-        guaranteed = must_install and attempt > spec.retries and lvl == 0
-        failed = not guaranteed and injector.compile_fails(
-            fname, lvl, attempt
-        )
-        if not failed:
-            if must_install and attempt > spec.retries:
-                injector.note_forced_install()
-            return "compile", lvl, attempt
-        injector.note_wasted(c)
-        if attempt > spec.retries and not must_install:
-            injector.note_fallback()
-            return "fallback", achieved, attempt
-        if attempt <= spec.retries:
-            injector.note_retry()
-            lvl = max(0, lvl - 1)
-        else:
-            lvl = 0
-        attempt += 1
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "compile_fail=0.5,retries=0,seed=1",
-        "compile_fail=0.5,retries=2,seed=2",
-        "compile_fail=1.0,retries=1,seed=3",
-        "compile_fail=0.3,stall=0.4,stall_factor=3.0,retries=2,seed=4",
-    ],
-)
-@pytest.mark.parametrize("must_install,achieved", [(True, -1), (False, 0)])
-def test_degrade_matches_runtime_chain(spec, must_install, achieved):
-    profile = PROFILES["hot"]
-    for fname in ("hot", "other", "hot"):  # repeat: keys include attempt
-        for level in range(1, profile.num_levels):
-            engine = DecisionEngine(faults=spec)
-            action, lvl, attempts, delta, wasted = engine._degrade(
-                fname, profile, level, must_install, achieved
-            )
-            ref = FaultInjector(spec)
-            r_action, r_lvl, r_attempts = _reference_chain(
-                ref, profile, fname, level, must_install, achieved
-            )
-            assert (action, lvl, attempts) == (r_action, r_lvl, r_attempts)
-            assert engine.faults.tally == ref.tally
-            assert engine.faults.wasted_compile_time == pytest.approx(
-                ref.wasted_compile_time
-            )
-            # the cached delta is exactly the diff the chain produced
-            assert delta == {
-                k: v for k, v in ref.tally.items() if v
-            }
-            assert wasted == pytest.approx(ref.wasted_compile_time)
-
-
-# ---------------------------------------------------------------------------
 # The shared decision cache
 # ---------------------------------------------------------------------------
 def _strip(records):
@@ -270,6 +190,48 @@ def _strip(records):
         {k: r[k] for k in ("call", "action", "level", "attempts")}
         for r in records
     ]
+
+
+def _shared_profiles(count=6):
+    """Profiles with inexact float times, so summing wasted compile time
+    in a different grouping shows in the last bits."""
+    rng = random.Random(3)
+    out = []
+    for i in range(count):
+        c0 = rng.uniform(0.5, 3.0)
+        e0 = rng.uniform(5.0, 40.0)
+        out.append(
+            FunctionProfile(
+                f"f{i}",
+                (c0, c0 * rng.uniform(3, 9), c0 * rng.uniform(20, 60)),
+                (e0, e0 * rng.uniform(0.3, 0.7), e0 * rng.uniform(0.05, 0.25)),
+            )
+        )
+    return out
+
+
+def _shared_events(profiles, tenants=4, calls=60):
+    """Every tenant registers the same profiles and calls them in the
+    same order, so later tenants are served from the cache."""
+    out = []
+    for t in range(tenants):
+        tenant = f"t{t}"
+        for p in profiles:
+            out.append(
+                {
+                    "op": "profile",
+                    "tenant": tenant,
+                    "function": p.name,
+                    "compile_times": list(p.compile_times),
+                    "exec_times": list(p.exec_times),
+                }
+            )
+        for seq in range(calls):
+            fname = profiles[(seq * 7 + seq // 5) % len(profiles)].name
+            out.append(
+                {"op": "call", "tenant": tenant, "function": fname, "seq": seq}
+            )
+    return out
 
 
 class TestDecisionCache:
@@ -309,7 +271,15 @@ class TestDecisionCache:
             )
         assert len(cache.entries) <= 4
 
-    def test_replay_tally_rejects_unknown_keys(self):
-        injector = FaultInjector("compile_fail=0.5,seed=0")
-        with pytest.raises(KeyError):
-            injector.replay_tally({"not_a_tally": 1})
+    @pytest.mark.parametrize("seed", [0, 1, 4, 6])
+    def test_fault_summary_bitwise_equal_with_shared_profiles(self, seed):
+        spec = f"compile_fail=0.3,stall=0.3,retries=2,seed={seed}"
+        events = _shared_events(_shared_profiles())
+        cached = DecisionEngine(faults=spec, cache=DecisionCache())
+        uncached = DecisionEngine(faults=spec)
+        rc = _drain(cached, list(events))
+        ru = _drain(uncached, list(events))
+        assert cached.cache.hits > 0
+        assert rc == ru
+        # whole dict, wasted_compile_time included, compared with ==
+        assert cached.summary()["faults"] == uncached.summary()["faults"]
